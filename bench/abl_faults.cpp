@@ -10,8 +10,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "fi/inject.hpp"
-#include "sched/mapper.hpp"
+#include "fi/degrade.hpp"
 
 int main() {
   using namespace rota;
@@ -21,39 +20,38 @@ int main() {
 
   const arch::AcceleratorConfig cfg = arch::rota_like();
   const nn::Network net = nn::make_squeezenet();
-  sched::Mapper mapper(cfg, sched::ObjectiveSpec{}, {},
-                       sched::MapperOptions{true, 0});
-  const sched::NetworkSchedule schedule = mapper.schedule_network(net);
 
   util::TextTable table({"faults", "spares", "redirected", "lost units",
                          "migrations", "degraded MTTF"});
   std::vector<std::vector<std::string>> csv;
   for (const std::int64_t faults : {1, 2, 4, 8}) {
     for (const std::int64_t spares : {2, 4, 8}) {
-      fi::InjectOptions options;
+      // The fail-stop run: the schedule and rotation never react.
+      fi::DegradeOptions options;
       options.iterations = 256;
       options.spares = spares;
       options.seed = 0x526f5441;
+      options.mode = fi::DegradeMode::kFaultOblivious;
+      options.threads = 0;
       options.faults.push_back(
           fi::parse_hardware_fault("weibull=" + std::to_string(faults))
               .take());
 
-      auto policy = wear::make_policy(wear::PolicyKind::kRwlRo,
-                                      cfg.array_width, cfg.array_height,
-                                      options.seed);
-      const fi::FaultRunReport report =
-          fi::run_fault_injection(cfg, schedule, *policy, options);
+      const fi::DegradeReport report =
+          fi::run_degraded_lifetime(cfg, net, options);
+      const fi::SparePoolSummary pool =
+          fi::spare_pool_summary(report, spares, options.beta);
 
       table.add_row({std::to_string(faults), std::to_string(spares),
-                     util::fmt_pct(report.redirect_fraction, 2),
+                     util::fmt_pct(pool.redirect_fraction, 2),
                      std::to_string(report.lost_units),
                      std::to_string(report.spare_stats.migrations),
-                     util::fmt(report.mttf_ratio, 3) + "x"});
+                     util::fmt(pool.mttf_ratio, 3) + "x"});
       csv.push_back({std::to_string(faults), std::to_string(spares),
-                     util::fmt(report.redirect_fraction, 4),
+                     util::fmt(pool.redirect_fraction, 4),
                      std::to_string(report.lost_units),
                      std::to_string(report.spare_stats.migrations),
-                     util::fmt(report.mttf_ratio, 4)});
+                     util::fmt(pool.mttf_ratio, 4)});
     }
   }
   bench::emit(table,

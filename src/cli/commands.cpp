@@ -17,7 +17,6 @@
 #include "fi/checkpoint.hpp"
 #include "fi/degrade.hpp"
 #include "fi/hooks.hpp"
-#include "fi/inject.hpp"
 #include "svc/engine.hpp"
 #include "obs/build_info.hpp"
 #include "obs/event_log.hpp"
@@ -401,13 +400,16 @@ void discard_checkpoint(const std::string& path) {
   std::filesystem::remove(path, ec);
 }
 
-int cmd_degrade(const Options& opt, std::ostream& out) {
+/// The degrade engine's options for `rota degrade` and `rota inject`
+/// (inject runs it fault-oblivious; its parser rejects the flags it does
+/// not use, so they keep their defaults here).
+fi::DegradeOptions degrade_options_of(const Options& opt,
+                                      const nn::Network& net,
+                                      const char* verb) {
   ROTA_REQUIRE(!opt.faults.empty(),
-               "degrade needs at least one --fault SPEC (pe=U,V@ITER[+K], "
-               "rank=R@ITER or weibull=N)");
-  const nn::Network net = nn::workload_by_abbr(opt.workload);
-  const arch::AcceleratorConfig accel = accel_of(opt);
-
+               std::string(verb) +
+                   " needs at least one --fault SPEC (pe=U,V@ITER[+K], "
+                   "rank=R@ITER or weibull=N)");
   fi::DegradeOptions dopt;
   dopt.iterations = opt.iterations;
   dopt.spares = opt.spares;
@@ -426,6 +428,13 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
     ROTA_REQUIRE(fault.ok(), "--fault " + spec + ": " + fault.error().message);
     dopt.faults.push_back(std::move(fault).take());
   }
+  return dopt;
+}
+
+int cmd_degrade(const Options& opt, std::ostream& out) {
+  const nn::Network net = nn::workload_by_abbr(opt.workload);
+  const arch::AcceleratorConfig accel = accel_of(opt);
+  fi::DegradeOptions dopt = degrade_options_of(opt, net, "degrade");
 
   fi::Checkpoint cp;
   if (!opt.checkpoint_path.empty()) {
@@ -514,37 +523,19 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
   return 0;
 }
 
+/// `rota inject`: the degrade engine's fail-stop run (no reschedule, no
+/// masking), reported as what the spare pool absorbed and what it cost.
 int cmd_inject(const Options& opt, std::ostream& out) {
-  ROTA_REQUIRE(!opt.faults.empty(),
-               "inject needs at least one --fault SPEC (pe=U,V@ITER[+K], "
-               "rank=R@ITER or weibull=N)");
-  // --resched upgrades the campaign to the degrade engine's full
-  // repair-and-reschedule loop under the same faults and pool.
-  if (opt.resched) return cmd_degrade(opt, out);
   const nn::Network net = nn::workload_by_abbr(opt.workload);
-  const arch::AcceleratorConfig accel = accel_of(opt);
-  sched::Mapper mapper(accel, sched::ObjectiveSpec{}, {},
-                       sched::MapperOptions{true, threads_of(opt)});
-  const sched::NetworkSchedule ns = mapper.schedule_network(net);
+  fi::DegradeOptions dopt = degrade_options_of(opt, net, "inject");
+  dopt.mode = fi::DegradeMode::kFaultOblivious;
+  const fi::DegradeReport report =
+      fi::run_degraded_lifetime(accel_of(opt), net, dopt);
+  const fi::SparePoolSummary pool =
+      fi::spare_pool_summary(report, dopt.spares, dopt.beta);
 
-  fi::InjectOptions io;
-  io.iterations = opt.iterations;
-  io.spares = opt.spares;
-  io.seed = opt.seed;
-  for (const std::string& spec : opt.faults) {
-    auto fault = fi::parse_hardware_fault(spec);
-    ROTA_REQUIRE(fault.ok(),
-                 "--fault " + spec + ": " + fault.error().message);
-    io.faults.push_back(std::move(fault).take());
-  }
-
-  auto policy = wear::make_policy(opt.policy, accel.array_width,
-                                  accel.array_height, opt.seed);
-  const fi::FaultRunReport report =
-      fi::run_fault_injection(accel, ns, *policy, io);
-
-  out << net.name() << " x " << report.iterations_run
-      << " iterations, policy " << policy->name() << ", " << io.spares
+  out << net.name() << " x " << report.iterations_run << " iterations, policy "
+      << wear::to_string(dopt.policy) << ", " << dopt.spares
       << " spare(s):\n";
   for (const std::string& event : report.events) out << "  " << event << '\n';
 
@@ -564,11 +555,11 @@ int cmd_inject(const Options& opt, std::ostream& out) {
                  std::to_string(report.redirected_units)});
   table.add_row({"lost units", std::to_string(report.lost_units)});
   table.add_row({"redirect fraction",
-                 util::fmt_pct(report.redirect_fraction, 2)});
+                 util::fmt_pct(pool.redirect_fraction, 2)});
   out << table.str();
-  out << "MTTF, full spare pool: " << util::fmt(report.baseline_mttf, 4)
-      << "  degraded: " << util::fmt(report.degraded_mttf, 4)
-      << "  ratio: " << util::fmt(report.mttf_ratio, 3) << "x\n";
+  out << "MTTF, full spare pool: " << util::fmt(pool.baseline_mttf, 4)
+      << "  degraded: " << util::fmt(pool.degraded_mttf, 4)
+      << "  ratio: " << util::fmt(pool.mttf_ratio, 3) << "x\n";
   return 0;
 }
 
@@ -963,8 +954,7 @@ class ObservabilityScope {
     // the user's spelling when it parses — a bad spec fails in dispatch
     // with the full error message).
     if (options_.verb == Verb::kSchedule || options_.verb == Verb::kPareto ||
-        options_.verb == Verb::kDegrade ||
-        (options_.verb == Verb::kInject && options_.resched)) {
+        options_.verb == Verb::kDegrade) {
       if (auto spec = sched::parse_objective(options_.objective); spec.ok()) {
         manifest_.extra["objective.id"] = spec.value().id();
         manifest_.extra["objective.weights"] = spec.value().weights_csv();

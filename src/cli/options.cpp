@@ -58,7 +58,7 @@ constexpr std::string_view kAllFlags[] = {
     "--verbose", "--cache-dir", "--cache-cap", "--batch", "--queue-cap",
     "--fault",   "--checkpoint", "--trials",  "--objective", "--json",
     "--stats-out", "--stats-interval", "--events",
-    "--oblivious", "--resched", "--retire", "--ckpt-every"};
+    "--oblivious", "--retire", "--ckpt-every"};
 
 /// The observability flags every working verb owns.
 constexpr std::string_view kObsFlags[] = {
@@ -100,10 +100,10 @@ std::vector<std::string_view> owned_flags(Verb verb) {
                "--queue-cap"};
       break;
     case Verb::kInject:
-      // --resched upgrades the campaign to the degrade engine's
-      // repair-and-reschedule loop; --objective drives those re-runs.
+      // The degrade engine's fail-stop run: no objective, no repair loop
+      // (that is `rota degrade`).
       flags = {"--array", "--iters", "--spares", "--policy", "--seed",
-               "--fault", "--threads", "--resched", "--objective"};
+               "--fault", "--threads"};
       break;
     case Verb::kSweep:
       // No workload argument: sweep always covers the whole Table II zoo.
@@ -343,8 +343,6 @@ Options parse(const std::vector<std::string>& args) {
       ROTA_REQUIRE(!opt.json_out_path.empty(), "--json needs a file path");
     } else if (flag == "--oblivious") {
       opt.oblivious = true;
-    } else if (flag == "--resched") {
-      opt.resched = true;
     } else if (flag == "--retire") {
       opt.retire_fraction = parse_fraction(value_of(flag), flag);
     } else if (flag == "--ckpt-every") {
@@ -430,16 +428,13 @@ std::string usage() {
       "    --queue-cap N           shed requests beyond N queued (default\n"
       "                            0 = unbounded)\n"
       "  inject <abbr>             kill PEs mid-run, route work through the\n"
-      "                            spare pool, report degraded MTTF\n"
+      "                            spare pool, report degraded MTTF (the\n"
+      "                            degrade engine, fail-stop: no repair)\n"
       "    --array WxH  --iters N  geometry / inference iterations\n"
       "    --spares N              spare-pool size (default 4)\n"
       "    --policy NAME           wear policy driven during the run\n"
       "    --fault SPEC            repeatable; pe=U,V@ITER[+K] |\n"
       "                            rank=R@ITER | weibull=N\n"
-      "    --resched               repair-and-reschedule instead of the\n"
-      "                            fault-oblivious campaign (the degrade\n"
-      "                            engine; --objective drives the re-runs)\n"
-      "    --objective SPEC        mapper objective for --resched re-runs\n"
       "    --seed N  --threads N   weibull sampling seed / worker lanes\n"
       "  degrade <abbr>            degraded-mode lifetime: in-run faults,\n"
       "                            live spare remapping, fault-aware\n"

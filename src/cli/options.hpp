@@ -76,7 +76,6 @@ struct Options {
   std::string checkpoint_path;      ///< checkpoint/resume file ("" = off)
   std::int64_t trials = 100000;     ///< mc: Monte-Carlo trials
   bool oblivious = false;  ///< degrade: fail-stop baseline (no repair loop)
-  bool resched = false;    ///< inject: route through the degrade engine
   double retire_fraction = 0.75;  ///< degrade: retire below this live share
   std::int64_t checkpoint_every = 64;  ///< degrade: autosave cadence (iters)
   // Observability (see src/obs/): every verb accepts these.

@@ -33,10 +33,7 @@
 ///     reject unknown versions instead of guessing.
 ///   - Additions are backward compatible within v1. Breaking changes get
 ///     a `rota::api::v2` namespace; v1 then remains for two releases with
-///     deprecation notes before removal. Deprecated members of the
-///     historical (unversioned) surface — e.g. the throwing
-///     ExperimentResult::run — say so in their doc comment and have a
-///     non-throwing v1 replacement.
+///     deprecation notes before removal.
 ///
 /// The historical throwing surface (`rota::Experiment`, free functions in
 /// module namespaces) remains available for in-process callers that want
@@ -91,8 +88,7 @@ inline constexpr int kSchemaVersion = obs::kSchemaVersion;
     const std::vector<wear::PolicyKind>& policies) noexcept;
 
 /// The run for `kind` inside `result`. Errors: not_found when the policy
-/// was not part of the experiment. (Non-throwing replacement for the
-/// deprecated ExperimentResult::run.)
+/// was not part of the experiment.
 [[nodiscard]] Result<PolicyRun> find_run(const ExperimentResult& result,
                                          wear::PolicyKind kind) noexcept;
 
@@ -102,9 +98,3 @@ inline constexpr int kSchemaVersion = obs::kSchemaVersion;
     const ExperimentResult& result, wear::PolicyKind kind) noexcept;
 
 }  // namespace rota::api::v1
-
-namespace rota::api {
-/// Alias for the current stable generation; code that wants "latest" can
-/// say rota::api::stable and recompile across generation bumps.
-namespace stable = v1;
-}  // namespace rota::api

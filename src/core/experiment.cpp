@@ -15,13 +15,6 @@ const PolicyRun* ExperimentResult::find_run(
   return nullptr;
 }
 
-const PolicyRun& ExperimentResult::run(wear::PolicyKind kind) const {
-  const PolicyRun* found = find_run(kind);
-  ROTA_REQUIRE(found != nullptr, "policy " + wear::to_string(kind) +
-                                     " was not part of this experiment");
-  return *found;
-}
-
 double ExperimentResult::improvement_over_baseline(
     wear::PolicyKind kind) const {
   const PolicyRun* base_ptr = find_run(wear::PolicyKind::kBaseline);

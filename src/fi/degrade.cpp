@@ -19,7 +19,6 @@ namespace rota::fi {
 
 namespace {
 
-constexpr std::uint64_t kWeibullSeedTag = 0x77656962756c6cULL;  // "weibull"
 constexpr const char* kCsvHeader =
     "iteration,event,u,v,arg,live,spares_free,energy,cycles\n";
 
@@ -28,12 +27,6 @@ std::string hexdouble(double value) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", value);
   return buf;
-}
-
-std::string pe_name(std::int64_t u, std::int64_t v) {
-  std::ostringstream out;
-  out << "pe=(" << u << "," << v << ")";
-  return out.str();
 }
 
 /// spare_array_mttf guarded against degenerate inputs: a dead or inactive
@@ -46,42 +39,6 @@ double guarded_spare_mttf(const std::vector<double>& alphas,
   if (active == 0) return 0.0;
   const std::int64_t n = static_cast<std::int64_t>(alphas.size());
   return rel::spare_array_mttf(alphas, std::min(tolerance, n - 1), beta);
-}
-
-/// One scheduled boundary action, like the injection campaign's: declared
-/// faults, resolved weibull strikes and pending transient restores.
-struct TimelineEvent {
-  std::int64_t iteration = 1;
-  bool is_restore = false;
-  HardwareFaultKind kind = HardwareFaultKind::kCoordinate;
-  std::int64_t u = -1;
-  std::int64_t v = -1;
-  std::int64_t rank = -1;
-  std::int64_t restore_after = 0;
-};
-
-/// The rank-th most-worn live primary (ties toward lower index), clamping
-/// past-the-end ranks; false when every primary is dead.
-bool pick_by_rank(const std::vector<std::int64_t>& usage,
-                  const rel::SpareRemapper& remapper, std::int64_t rank,
-                  std::int64_t width, std::int64_t* u, std::int64_t* v) {
-  std::vector<std::size_t> live;
-  live.reserve(usage.size());
-  for (std::size_t idx = 0; idx < usage.size(); ++idx) {
-    const auto iu = static_cast<std::int64_t>(idx) % width;
-    const auto iv = static_cast<std::int64_t>(idx) / width;
-    if (!remapper.is_dead(iu, iv)) live.push_back(idx);
-  }
-  if (live.empty()) return false;
-  std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-    if (usage[a] != usage[b]) return usage[a] > usage[b];
-    return a < b;
-  });
-  const std::size_t pick =
-      std::min<std::size_t>(static_cast<std::size_t>(rank), live.size() - 1);
-  *u = static_cast<std::int64_t>(live[pick]) % width;
-  *v = static_cast<std::int64_t>(live[pick]) / width;
-  return true;
 }
 
 std::string join_i64(const std::vector<std::int64_t>& values) {
@@ -158,7 +115,7 @@ std::string degrade_fingerprint(const arch::AcceleratorConfig& config,
     if (i > 0) out << ';';
     out << to_string(options.faults[i]);
   }
-  out << "|remapper=lowest-free-v1";
+  out << "|remapper=lowest-free-v1|arrivals=v2";
   return out.str();
 }
 
@@ -186,28 +143,11 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
       std::ceil(options.retire_live_fraction * static_cast<double>(cells)));
 
   // Fault plan → pending timeline (weibull strikes resolve at it == 1).
-  std::vector<TimelineEvent> pending;
-  std::int64_t weibull_count = 0;
-  for (const HardwareFault& fault : options.faults) {
-    if (fault.kind == HardwareFaultKind::kWeibull) {
-      weibull_count += fault.count;
-      continue;
-    }
-    TimelineEvent event;
-    event.iteration = fault.iteration;
-    event.kind = fault.kind;
-    event.u = fault.u;
-    event.v = fault.v;
-    event.rank = fault.rank;
-    event.restore_after = fault.restore_after;
-    if (fault.kind == HardwareFaultKind::kCoordinate) {
-      ROTA_REQUIRE(fault.u >= 0 && fault.u < width && fault.v >= 0 &&
-                       fault.v < height,
-                   "coordinate fault " + to_string(fault) +
-                       " lies outside the configured array");
-    }
-    pending.push_back(event);
-  }
+  util::Result<FaultTimeline> timeline =
+      fault_timeline(options.faults, width, height);
+  ROTA_REQUIRE(timeline.ok(), timeline.error().message);
+  std::vector<TimelineEvent> pending = std::move(timeline.value().pending);
+  std::int64_t weibull_count = timeline.value().weibull_count;
 
   rel::SpareRemapper remapper(width, height, options.spares);
   std::vector<std::string> oplog;  ///< remapper replay log ("F u v"/"R u v")
@@ -386,6 +326,15 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
 
   const auto apply_fault = [&](std::int64_t g, std::int64_t u, std::int64_t v,
                                const char* label, std::int64_t restore_after) {
+    if (remapper.is_dead(u, v)) {
+      // Striking a dead PE changes nothing: no spare, no fault counted.
+      human("it=" + std::to_string(g) + " " + label + " " + pe_name(u, v) +
+            " -> already dead (no-op)");
+      obs::log_event(obs::Severity::kInfo, "degrade",
+                     "strike on dead " + pe_name(u, v) + " ignored at it=" +
+                         std::to_string(g));
+      return;
+    }
     const rel::SpareRemapper::Outcome outcome = remapper.fault_primary(u, v);
     oplog.push_back("F " + std::to_string(u) + " " + std::to_string(v));
     ++report.faults_injected;
@@ -419,70 +368,10 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     }
   };
 
-  std::int64_t g_base = it;
-  const auto sampler = [&](std::int64_t local,
-                           const wear::UsageTracker& tracker) -> bool {
-    const std::int64_t g = g_base + local;
-    const std::vector<std::int64_t>& usage = tracker.usage().cells();
-
-    // Credit this iteration's work under the mapping it actually ran on.
-    for (std::size_t idx = 0; idx < usage.size(); ++idx) {
-      const std::int64_t delta = usage[idx] - prev[idx];
-      if (delta == 0) continue;
-      const auto u = static_cast<std::int64_t>(idx) % width;
-      const auto v = static_cast<std::int64_t>(idx) / width;
-      if (!remapper.is_dead(u, v)) continue;
-      if (remapper.spare_of(u, v) >= 0) {
-        report.redirected_units += delta;
-      } else {
-        report.lost_units += delta;
-      }
-    }
-    prev = usage;
-
-    if (g == 1) {
-      it1_usage = usage;  // the fault-free wear profile
-      if (weibull_count > 0) {
-        // Weibull arrivals from observed wear: PE ∝ usage^β without
-        // replacement, strike time T·U^{1/β} — one SplitMix64 substream,
-        // independent of thread count.
-        util::SplitMix64 rng(options.seed ^ kWeibullSeedTag);
-        std::vector<double> weight(usage.size(), 0.0);
-        for (std::size_t idx = 0; idx < usage.size(); ++idx) {
-          weight[idx] =
-              std::pow(static_cast<double>(usage[idx]), options.beta);
-        }
-        for (std::int64_t n = 0; n < weibull_count; ++n) {
-          double total = 0.0;
-          for (const double w : weight) total += w;
-          if (total <= 0.0) break;
-          double pick = rng.next_double() * total;
-          std::size_t idx = 0;
-          for (; idx + 1 < weight.size(); ++idx) {
-            if (pick < weight[idx]) break;
-            pick -= weight[idx];
-          }
-          weight[idx] = 0.0;  // without replacement
-          TimelineEvent event;
-          const double frac = std::pow(rng.next_double(), 1.0 / options.beta);
-          event.iteration = std::clamp<std::int64_t>(
-              static_cast<std::int64_t>(std::ceil(
-                  frac * static_cast<double>(options.iterations))),
-              std::min<std::int64_t>(2, options.iterations),
-              options.iterations);
-          event.kind = HardwareFaultKind::kCoordinate;
-          event.u = static_cast<std::int64_t>(idx) % width;
-          event.v = static_cast<std::int64_t>(idx) / width;
-          pending.push_back(event);
-          csv_row(g, "weibull-scheduled", event.u, event.v, event.iteration);
-          human("weibull scheduled " + pe_name(event.u, event.v) + "@" +
-                std::to_string(event.iteration));
-        }
-        weibull_count = 0;
-      }
-    }
-
-    // Apply this boundary's events in declaration order, keeping the rest.
+  // Apply boundary g's events in declaration order, keeping the rest;
+  // true when any fired.
+  const auto apply_due = [&](std::int64_t g,
+                             const std::vector<std::int64_t>& usage) {
     std::vector<TimelineEvent> due;
     std::vector<TimelineEvent> rest;
     for (const TimelineEvent& event : pending) {
@@ -504,15 +393,63 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
       } else if (event.kind == HardwareFaultKind::kWearRank) {
         std::int64_t u = 0;
         std::int64_t v = 0;
-        if (pick_by_rank(usage, remapper, event.rank, width, &u, &v)) {
+        if (pick_by_rank(usage, remapper, event.rank, &u, &v)) {
           apply_fault(g, u, v, "fault rank", 0);
         }
       } else {
         apply_fault(g, event.u, event.v, "fault", event.restore_after);
       }
     }
+    return !due.empty();
+  };
 
-    if (aware && !due.empty()) {
+  std::int64_t g_base = it;
+  const auto sampler = [&](std::int64_t local,
+                           const wear::UsageTracker& tracker) -> bool {
+    const std::int64_t g = g_base + local;
+    const std::vector<std::int64_t>& usage = tracker.usage().cells();
+
+    // Credit this iteration's work under the mapping it actually ran on.
+    for (std::size_t idx = 0; idx < usage.size(); ++idx) {
+      const std::int64_t delta = usage[idx] - prev[idx];
+      if (delta == 0) continue;
+      const auto u = static_cast<std::int64_t>(idx) % width;
+      const auto v = static_cast<std::int64_t>(idx) / width;
+      if (!remapper.is_dead(u, v)) continue;
+      if (remapper.spare_of(u, v) >= 0) {
+        report.redirected_units += delta;
+      } else {
+        report.lost_units += delta;
+      }
+    }
+    prev = usage;
+
+    bool struck = apply_due(g, usage);
+    if (g == 1) {
+      it1_usage = usage;  // the fault-free wear profile
+      if (weibull_count > 0) {
+        // Weibull arrivals resolve once this boundary's declared faults
+        // have struck, over the PEs still live; one SplitMix64 substream,
+        // independent of thread count.
+        for (const WeibullArrival& arrival : sample_weibull_arrivals(
+                 usage, remapper, weibull_count, options.beta, options.seed,
+                 options.iterations)) {
+          TimelineEvent event;
+          event.iteration = arrival.iteration;
+          event.u = arrival.u;
+          event.v = arrival.v;
+          pending.push_back(event);
+          csv_row(g, "weibull-scheduled", event.u, event.v, event.iteration);
+          human("weibull scheduled " + pe_name(event.u, event.v) + "@" +
+                std::to_string(event.iteration));
+        }
+        weibull_count = 0;
+        // A one-iteration horizon strikes on this very boundary.
+        struck = apply_due(g, usage) || struck;
+      }
+    }
+
+    if (aware && struck) {
       const sched::ArrayState next(remapper);
       if (next.digest() != live_state.digest()) {
         // The live map changed (a fault the pool could not absorb, or a
@@ -629,6 +566,7 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
           ? report.final_cycles / report.initial_cycles - 1.0
           : 0.0;
   report.spare_stats = remapper.stats();
+  report.usage = usage;
 
   auto& reg = obs::MetricsRegistry::global();
   if (reg.enabled()) {
@@ -648,6 +586,31 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     if (report.retired) reg.add("degrade.retirements", 1);
   }
   return report;
+}
+
+SparePoolSummary spare_pool_summary(const DegradeReport& report,
+                                    std::int64_t spares, double beta) {
+  SparePoolSummary summary;
+  const double iterations =
+      static_cast<double>(std::max<std::int64_t>(1, report.iterations_run));
+  std::vector<double> alphas;
+  alphas.reserve(report.usage.size());
+  std::int64_t total_usage = 0;
+  for (const std::int64_t count : report.usage) {
+    alphas.push_back(static_cast<double>(count) / iterations);
+    total_usage += count;
+  }
+  summary.redirect_fraction =
+      total_usage > 0 ? static_cast<double>(report.redirected_units) /
+                            static_cast<double>(total_usage)
+                      : 0.0;
+  summary.baseline_mttf = guarded_spare_mttf(alphas, spares, beta);
+  summary.degraded_mttf = guarded_spare_mttf(
+      report.live_alphas, report.spare_stats.spares_free, beta);
+  summary.mttf_ratio = summary.baseline_mttf > 0.0
+                           ? summary.degraded_mttf / summary.baseline_mttf
+                           : 0.0;
+  return summary;
 }
 
 }  // namespace rota::fi

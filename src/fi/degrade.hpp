@@ -108,10 +108,29 @@ struct DegradeReport {
   /// cross-check.
   std::vector<double> live_alphas;
   std::int64_t mttf_tolerance = 0;
+  std::vector<std::int64_t> usage;  ///< final row-major usage grid
   rel::SpareRemapper::Stats spare_stats;
   std::vector<std::string> events;  ///< human-readable timeline
   std::string timeline_csv;         ///< deterministic CSV artifact
 };
+
+/// The spare-pool reading of a finished run that `rota inject` and
+/// bench/abl_faults report: the share of all work the spares served, and
+/// the MTTF of the array with its full pool (`baseline_mttf`, observed
+/// per-iteration rates of every PE) against the degraded array
+/// (`degraded_mttf`: live primaries plus in-service spares, each spare
+/// carrying its primary's load, tolerating only the free pool).
+struct SparePoolSummary {
+  double redirect_fraction = 0.0;  ///< redirected / total usage
+  double baseline_mttf = 0.0;
+  double degraded_mttf = 0.0;
+  double mttf_ratio = 0.0;         ///< degraded / baseline
+};
+
+/// `spares` and `beta` are the ones the run used.
+[[nodiscard]] SparePoolSummary spare_pool_summary(const DegradeReport& report,
+                                                  std::int64_t spares,
+                                                  double beta);
 
 /// Checked at iteration boundaries; returning true stops the run after
 /// saving a checkpoint (when enabled). Empty = never stop early.

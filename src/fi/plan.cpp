@@ -1,8 +1,12 @@
 #include "fi/plan.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
+
+#include "util/rng.hpp"
 
 namespace rota::fi {
 
@@ -10,6 +14,9 @@ namespace {
 
 using util::Error;
 using util::ErrorCode;
+
+/// Substream tag ("weibull") of the Weibull arrival sampler.
+constexpr std::uint64_t kWeibullSeedTag = 0x77656962756c6cULL;
 
 /// Split on `sep`, keeping empty pieces out.
 std::vector<std::string> split(std::string_view text, char sep) {
@@ -188,6 +195,196 @@ std::string to_string(const HardwareFault& fault) {
       break;
   }
   return out.str();
+}
+
+// ---------------------------------------------- hardware-fault resolver
+
+util::Result<FaultTimeline> fault_timeline(
+    const std::vector<HardwareFault>& faults, std::int64_t width,
+    std::int64_t height) {
+  FaultTimeline timeline;
+  for (const HardwareFault& fault : faults) {
+    if (fault.kind == HardwareFaultKind::kWeibull) {
+      timeline.weibull_count += fault.count;
+      continue;
+    }
+    if (fault.kind == HardwareFaultKind::kCoordinate &&
+        (fault.u < 0 || fault.u >= width || fault.v < 0 ||
+         fault.v >= height)) {
+      return bad_spec("coordinate fault " + to_string(fault) +
+                      " lies outside the configured array");
+    }
+    TimelineEvent event;
+    event.iteration = fault.iteration;
+    event.kind = fault.kind;
+    event.u = fault.u;
+    event.v = fault.v;
+    event.rank = fault.rank;
+    event.restore_after = fault.restore_after;
+    timeline.pending.push_back(event);
+  }
+  return timeline;
+}
+
+std::string pe_name(std::int64_t u, std::int64_t v) {
+  std::ostringstream out;
+  out << "pe=(" << u << "," << v << ")";
+  return out.str();
+}
+
+bool pick_by_rank(const std::vector<std::int64_t>& usage,
+                  const rel::SpareRemapper& remapper, std::int64_t rank,
+                  std::int64_t* u, std::int64_t* v) {
+  const std::int64_t width = remapper.width();
+  std::vector<std::size_t> live;
+  live.reserve(usage.size());
+  for (std::size_t idx = 0; idx < usage.size(); ++idx) {
+    const auto iu = static_cast<std::int64_t>(idx) % width;
+    const auto iv = static_cast<std::int64_t>(idx) / width;
+    if (!remapper.is_dead(iu, iv)) live.push_back(idx);
+  }
+  if (live.empty()) return false;
+  std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
+    if (usage[a] != usage[b]) return usage[a] > usage[b];
+    return a < b;
+  });
+  const std::size_t pick =
+      std::min<std::size_t>(static_cast<std::size_t>(rank), live.size() - 1);
+  *u = static_cast<std::int64_t>(live[pick]) % width;
+  *v = static_cast<std::int64_t>(live[pick]) / width;
+  return true;
+}
+
+std::vector<WeibullArrival> sample_weibull_arrivals(
+    const std::vector<std::int64_t>& usage, const rel::SpareRemapper& remapper,
+    std::int64_t count, double beta, std::uint64_t seed,
+    std::int64_t horizon) {
+  const std::int64_t width = remapper.width();
+  util::SplitMix64 rng(seed ^ kWeibullSeedTag);
+  std::vector<double> weight(usage.size(), 0.0);
+  for (std::size_t idx = 0; idx < usage.size(); ++idx) {
+    const auto u = static_cast<std::int64_t>(idx) % width;
+    const auto v = static_cast<std::int64_t>(idx) / width;
+    if (!remapper.is_dead(u, v)) {
+      weight[idx] = std::pow(static_cast<double>(usage[idx]), beta);
+    }
+  }
+  std::vector<WeibullArrival> arrivals;
+  for (std::int64_t n = 0; n < count; ++n) {
+    double total = 0.0;
+    for (const double w : weight) total += w;
+    if (total <= 0.0) break;
+    double pick = rng.next_double() * total;
+    std::size_t idx = 0;
+    for (; idx + 1 < weight.size(); ++idx) {
+      if (pick < weight[idx]) break;
+      pick -= weight[idx];
+    }
+    weight[idx] = 0.0;  // without replacement
+    const double frac = std::pow(rng.next_double(), 1.0 / beta);
+    WeibullArrival arrival;
+    arrival.u = static_cast<std::int64_t>(idx) % width;
+    arrival.v = static_cast<std::int64_t>(idx) / width;
+    arrival.iteration = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(
+            std::ceil(frac * static_cast<double>(horizon))),
+        std::min<std::int64_t>(2, horizon), horizon);
+    arrivals.push_back(arrival);
+  }
+  return arrivals;
+}
+
+namespace {
+
+util::Result<sched::ArrayState> array_state_from_faults_impl(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares,
+    const WearSnapshot* wear) {
+  if (width < 1 || height < 1) {
+    return bad_spec("array_state_from_faults: array must be at least 1x1, "
+                    "got " +
+                    std::to_string(width) + "x" + std::to_string(height));
+  }
+  if (spares < 0) {
+    return bad_spec("array_state_from_faults: spares must be >= 0, got " +
+                    std::to_string(spares));
+  }
+  if (wear != nullptr) {
+    if (wear->usage.size() !=
+        static_cast<std::size_t>(width) * static_cast<std::size_t>(height)) {
+      return bad_spec("array_state_from_faults: wear snapshot has " +
+                      std::to_string(wear->usage.size()) + " cells but the " +
+                      std::to_string(width) + "x" + std::to_string(height) +
+                      " array needs " + std::to_string(width * height));
+    }
+    if (!(wear->beta > 0.0)) {
+      return bad_spec(
+          "array_state_from_faults: wear snapshot beta must be positive");
+    }
+  }
+  rel::SpareRemapper remapper(width, height, spares);
+  const auto kill = [&remapper](std::int64_t u, std::int64_t v) {
+    if (!remapper.is_dead(u, v)) (void)remapper.fault_primary(u, v);
+  };
+  for (const HardwareFault& fault : faults) {
+    if (fault.restore_after > 0) {
+      return bad_spec("array_state_from_faults: transient fault '" +
+                      to_string(fault) +
+                      "' has no static dead-PE reading (it heals at "
+                      "runtime)");
+    }
+    if (fault.kind != HardwareFaultKind::kCoordinate && wear == nullptr) {
+      return bad_spec("array_state_from_faults: wear-dependent fault '" +
+                      to_string(fault) +
+                      "' needs a wear snapshot to get a static dead-PE "
+                      "reading");
+    }
+    switch (fault.kind) {
+      case HardwareFaultKind::kCoordinate:
+        if (fault.u < 0 || fault.u >= width || fault.v < 0 ||
+            fault.v >= height) {
+          return bad_spec("array_state_from_faults: fault '" +
+                          to_string(fault) + "' lies outside the " +
+                          std::to_string(width) + "x" +
+                          std::to_string(height) + " array");
+        }
+        kill(fault.u, fault.v);
+        break;
+      case HardwareFaultKind::kWearRank: {
+        std::int64_t u = 0;
+        std::int64_t v = 0;
+        if (pick_by_rank(wear->usage, remapper, fault.rank, &u, &v)) {
+          kill(u, v);
+        }
+        break;
+      }
+      case HardwareFaultKind::kWeibull:
+        // Strike times do not matter to a static reading: every victim
+        // has struck by the end of the horizon.
+        for (const WeibullArrival& arrival :
+             sample_weibull_arrivals(wear->usage, remapper, fault.count,
+                                     wear->beta, wear->seed, 1)) {
+          kill(arrival.u, arrival.v);
+        }
+        break;
+    }
+  }
+  return sched::ArrayState(remapper);
+}
+
+}  // namespace
+
+util::Result<sched::ArrayState> array_state_from_faults(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares) {
+  return array_state_from_faults_impl(width, height, faults, spares, nullptr);
+}
+
+util::Result<sched::ArrayState> array_state_from_faults(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares,
+    const WearSnapshot& wear) {
+  return array_state_from_faults_impl(width, height, faults, spares, &wear);
 }
 
 }  // namespace rota::fi

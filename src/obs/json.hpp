@@ -5,10 +5,10 @@
 
 /// \file json.hpp
 /// Minimal JSON emission helpers shared by the observability sinks
-/// (metrics, trace events, run manifests) plus a strict validator used by
-/// the test suite and the CI smoke checks. No external dependency: the
+/// (metrics, trace events, run manifests). No external dependency: the
 /// JSON we emit is flat and machine-generated, so a small hand-rolled
-/// writer is both sufficient and auditable.
+/// writer is both sufficient and auditable. The repo's one JSON reader is
+/// svc::JsonValue (svc/jsonv.hpp).
 
 namespace rota::obs {
 
@@ -31,10 +31,5 @@ inline constexpr int kSchemaVersion = 2;
 /// Format a double as a JSON number. Non-finite values (which JSON cannot
 /// represent) render as `null`.
 [[nodiscard]] std::string json_number(double value);
-
-/// Strict recursive-descent validation of a complete JSON document
-/// (object, array, string, number, true/false/null; no trailing garbage).
-/// Used by tests to prove the emitted metrics/trace files parse.
-[[nodiscard]] bool json_valid(std::string_view text);
 
 }  // namespace rota::obs

@@ -108,12 +108,6 @@ class Mapper {
                   arch::EnergyModel energy = {}, MapperOptions options = {},
                   ArrayState array = {});
 
-  [[deprecated(
-      "pass a sched::ObjectiveSpec (sched/objective.hpp); this shim pins "
-      "the legacy energy objective and will be removed")]] explicit
-  Mapper(arch::AcceleratorConfig cfg, arch::EnergyModel energy = {},
-         MapperOptions options = {});
-
   [[nodiscard]] const arch::AcceleratorConfig& config() const { return cost_.config(); }
   [[nodiscard]] const MapperOptions& options() const { return options_; }
   [[nodiscard]] const ObjectiveSpec& objective() const { return objective_; }

@@ -62,8 +62,8 @@ util::Result<std::uint64_t> JsonValue::as_uint64() const {
   return static_cast<std::uint64_t>(v.value());
 }
 
-/// Recursive-descent parser mirroring obs::json_valid's grammar, but
-/// building values. Positions are tracked for error messages.
+/// Recursive-descent parser building values (RFC 8259 grammar, strict).
+/// Positions are tracked for error messages.
 class JsonParser {
  public:
   JsonParser(std::string_view text, int max_depth)

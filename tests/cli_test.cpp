@@ -7,9 +7,9 @@
 
 #include "cli/commands.hpp"
 #include "cli/options.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "svc/jsonv.hpp"
 #include "util/check.hpp"
 
 namespace rota::cli {
@@ -151,6 +151,16 @@ TEST(CliParse, InjectFlagsAndDefaults) {
   EXPECT_EQ(parse({"inject", "Sqz", "--spares", "0"}).spares, 0);
   // inject is per-workload: the abbreviation is mandatory.
   EXPECT_THROW(parse({"inject"}), precondition_error);
+  // inject is the degrade engine run fail-stop: the repair loop and its
+  // objective belong to `rota degrade`.
+  EXPECT_THROW(parse({"inject", "Sqz", "--fault", "pe=1,1@10", "--resched"}),
+               precondition_error);
+  EXPECT_THROW(parse({"inject", "Sqz", "--fault", "pe=1,1@10", "--objective",
+                      "lifetime"}),
+               precondition_error);
+  EXPECT_THROW(parse({"inject", "Sqz", "--fault", "pe=1,1@10",
+                      "--oblivious"}),
+               precondition_error);
 }
 
 TEST(CliParse, SweepAndMcFlags) {
@@ -446,7 +456,7 @@ TEST(CliRun, MetricsAndTraceSinksWriteValidJson) {
             0);
 
   const std::string metrics = slurp(metrics_path);
-  EXPECT_TRUE(obs::json_valid(metrics)) << metrics;
+  EXPECT_TRUE(svc::JsonValue::parse(metrics).ok()) << metrics;
   for (const char* key : {"\"schema_version\"", "\"manifest\"", "\"metrics\"",
                           "\"git_sha\"", "\"seed\"", "\"workload\"",
                           "\"wear.iterations\""}) {
@@ -454,7 +464,7 @@ TEST(CliRun, MetricsAndTraceSinksWriteValidJson) {
   }
 
   const std::string trace = slurp(trace_path);
-  EXPECT_TRUE(obs::json_valid(trace)) << trace;
+  EXPECT_TRUE(svc::JsonValue::parse(trace).ok()) << trace;
   EXPECT_NE(trace.find("\"schema_version\""), std::string::npos);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);

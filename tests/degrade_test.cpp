@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "cli/signals.hpp"
 #include "fi/checkpoint.hpp"
 #include "fi/degrade.hpp"
-#include "fi/inject.hpp"
 #include "fi/plan.hpp"
 #include "nn/workloads.hpp"
 #include "reliability/monte_carlo.hpp"
@@ -245,6 +245,90 @@ TEST(Degrade, ObliviousModeFailStopsWhereAwareKeepsServing) {
   EXPECT_GT(a.mttf_final, 0.0);
   EXPECT_GT(a.retire_budget, 0);
   EXPECT_EQ(a.mttf_tolerance, a.retire_budget);  // free pool is empty
+}
+
+// ------------------------------------------------------- fault arrivals
+
+/// The PEs a run actually struck, read from its event log ("it=G
+/// fault[ rank] pe=(U,V) -> spare S" or "-> unmapped ..."); no-op strikes
+/// on dead PEs are logged but not counted.
+std::vector<std::string> struck_pes(const DegradeReport& report) {
+  std::vector<std::string> pes;
+  for (const std::string& line : report.events) {
+    if (line.rfind("it=", 0) != 0) continue;
+    const std::size_t at = line.find("pe=(");
+    if (at == std::string::npos || line.find(" fault") == std::string::npos ||
+        line.find("already dead") != std::string::npos) {
+      continue;
+    }
+    pes.push_back(line.substr(at, line.find(')', at) + 1 - at));
+  }
+  return pes;
+}
+
+/// The report identities that hold for any plan without transient faults:
+/// every counted fault killed a distinct live PE, the pool absorbed at
+/// most its size, and every un-spared death left the live set.
+void expect_arrival_identities(const DegradeReport& report,
+                               const DegradeOptions& opt,
+                               const std::string& what) {
+  const std::vector<std::string> struck = struck_pes(report);
+  const std::set<std::string> distinct(struck.begin(), struck.end());
+  const std::int64_t cells = 14 * 12;
+  EXPECT_EQ(struck.size(), distinct.size()) << what;
+  EXPECT_EQ(report.faults_injected,
+            static_cast<std::int64_t>(distinct.size()))
+      << what;
+  EXPECT_EQ(report.faults_injected, report.remaps + report.unmapped_faults)
+      << what;
+  EXPECT_LE(report.remaps, opt.spares) << what;
+  EXPECT_EQ(report.live_pes,
+            cells - (static_cast<std::int64_t>(distinct.size()) -
+                     report.remaps))
+      << what;
+}
+
+TEST(Degrade, ArrivalsStrikeOnlyLivePEsAcrossSeeds) {
+  // A declared strike on the first boundary plus a Weibull burst: the
+  // burst must draw from the PEs still live after it, so (3,4) is never
+  // struck twice. The second plan's Weibull victims can coincide with a
+  // later declared strike, which must then be a no-op.
+  for (std::uint64_t seed = 1; seed <= 59; ++seed) {
+    DegradeOptions burst = base_options({"pe=3,4@1", "weibull=16"});
+    burst.iterations = 256;
+    burst.retire_live_fraction = 0.75;
+    burst.seed = seed;
+    const DegradeReport a =
+        run_degraded_lifetime(arch::rota_like(), alexnet(), burst);
+    expect_arrival_identities(a, burst, "burst seed " + std::to_string(seed));
+    EXPECT_EQ(a.faults_injected, 17) << "burst seed " << seed;  // 1 + 16
+
+    DegradeOptions mixed =
+        base_options({"weibull=4", "pe=5,5@20", "rank=2@40", "pe=9,8@60"});
+    mixed.iterations = 96;
+    mixed.spares = 3;
+    mixed.seed = seed;
+    mixed.mode = DegradeMode::kFaultOblivious;
+    const DegradeReport b =
+        run_degraded_lifetime(arch::rota_like(), alexnet(), mixed);
+    expect_arrival_identities(b, mixed, "mixed seed " + std::to_string(seed));
+  }
+}
+
+TEST(Degrade, StrikeOnADeadPEIsALoggedNoOp) {
+  DegradeOptions opt = base_options({"pe=4,4@10", "pe=4,4@30"});
+  opt.spares = 1;
+  const DegradeReport report =
+      run_degraded_lifetime(arch::rota_like(), alexnet(), opt);
+  EXPECT_EQ(report.faults_injected, 1);
+  EXPECT_EQ(report.remaps, 1);
+  EXPECT_EQ(report.unmapped_faults, 0);
+  EXPECT_EQ(report.spare_stats.spares_free, 0);
+  bool logged = false;
+  for (const std::string& line : report.events) {
+    logged = logged || line == "it=30 fault pe=(4,4) -> already dead (no-op)";
+  }
+  EXPECT_TRUE(logged);
 }
 
 // ----------------------------------------- with-spares Monte-Carlo estimator
@@ -478,14 +562,69 @@ TEST(DegradeCli, RetirementExitsWithCode5) {
   EXPECT_NE(out.find("retire"), std::string::npos);
 }
 
-TEST(DegradeCli, InjectReschedRoutesThroughTheDegradeEngine) {
+/// The "  "-indented event lines of a degrade or inject report.
+std::vector<std::string> event_lines(const std::string& out) {
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("  ", 0) == 0) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(DegradeCli, InjectRunsTheFailStopDegradeEngine) {
   cli::clear_interrupt();
-  auto [rc, out] = run_cli({"inject", "AN", "--iters", "48", "--spares", "1",
-                            "--fault", "pe=5,5@10", "--fault", "pe=8,3@20",
-                            "--resched"});
+  const std::vector<std::string> plan = {
+      "AN",      "--iters",   "48",      "--spares",  "1",
+      "--fault", "pe=5,5@10", "--fault", "pe=8,3@20", "--fault",
+      "rank=0@30"};
+  std::vector<std::string> inject = {"inject"};
+  inject.insert(inject.end(), plan.begin(), plan.end());
+  std::vector<std::string> degrade = {"degrade"};
+  degrade.insert(degrade.end(), plan.begin(), plan.end());
+  degrade.push_back("--oblivious");
+  auto [rc, out] = run_cli(inject);
+  auto [degrade_rc, degrade_out] = run_cli(degrade);
   EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("mode aware"), std::string::npos);
-  EXPECT_NE(out.find("reschedule"), std::string::npos);
+  EXPECT_EQ(degrade_rc, 0);
+  EXPECT_NE(out.find("unmapped (pool exhausted)"), std::string::npos);
+  EXPECT_EQ(out.find("reschedule"), std::string::npos);
+  EXPECT_EQ(event_lines(out), event_lines(degrade_out));
+}
+
+TEST(DegradeCli, InjectStdoutMatchesGoldenReports) {
+  // Captured from the standalone injection campaign the degrade engine
+  // replaced; none of these plans strikes a PE twice.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> plans =
+      {{"an_pe",
+        {"AN", "--iters", "400", "--spares", "2", "--fault", "pe=3,4@50",
+         "--fault", "pe=8,2@120", "--fault", "pe=11,9@300"}},
+       {"an_transient",
+        {"AN", "--iters", "400", "--spares", "1", "--fault", "pe=2,2@40+30",
+         "--fault", "pe=6,6@100", "--fault", "pe=9,1@150+100"}},
+       {"an_rank",
+        {"AN", "--iters", "400", "--spares", "1", "--fault", "rank=0@60",
+         "--fault", "rank=3@200", "--fault", "rank=0@300"}},
+       {"an_weibull",
+        {"AN", "--iters", "400", "--spares", "2", "--fault", "weibull=3",
+         "--seed", "7"}},
+       {"sqz_weibull",
+        {"Sqz", "--fault", "weibull=8", "--spares", "2", "--iters", "256",
+         "--seed", "0x526f5441"}},
+       {"an_mixed",
+        {"AN", "--iters", "128", "--spares", "3", "--fault", "pe=5,5@20",
+         "--fault", "rank=2@40", "--fault", "weibull=4"}}};
+  for (const auto& [name, args] : plans) {
+    std::vector<std::string> argv = {"inject"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    cli::clear_interrupt();
+    auto [rc, out] = run_cli(argv);
+    EXPECT_EQ(rc, 0) << name;
+    EXPECT_EQ(out, util::read_text_file(std::string(ROTA_TEST_CORPUS_DIR) +
+                                        "/inject/" + name + ".txt"))
+        << name;
+  }
 }
 
 }  // namespace

@@ -18,11 +18,10 @@
 #include "cli/signals.hpp"
 #include "fi/checkpoint.hpp"
 #include "fi/hooks.hpp"
-#include "fi/inject.hpp"
+#include "fi/degrade.hpp"
 #include "fi/plan.hpp"
 #include "nn/workloads.hpp"
 #include "par/parallel.hpp"
-#include "sched/mapper.hpp"
 #include "svc/engine.hpp"
 #include "util/io.hpp"
 #include "util/result.hpp"
@@ -400,38 +399,27 @@ TEST(FiCheckpoint, SavesSurviveInjectedIoFaultsViaRetry) {
 
 // ------------------------------------------------- hardware injection
 
-InjectOptions small_inject(std::int64_t iterations, std::int64_t spares) {
-  InjectOptions options;
+// `rota inject`'s reading: the degrade engine's fail-stop run on Sqz.
+DegradeOptions small_inject(std::int64_t iterations, std::int64_t spares) {
+  DegradeOptions options;
   options.iterations = iterations;
   options.spares = spares;
   options.seed = 11;
+  options.mode = DegradeMode::kFaultOblivious;
   return options;
 }
 
-struct InjectFixture {
-  arch::AcceleratorConfig accel = arch::rota_like();
-  sched::NetworkSchedule ns;
-
-  InjectFixture() {
-    sched::Mapper mapper(accel, sched::ObjectiveSpec{}, {},
-                         sched::MapperOptions{true, 1});
-    ns = mapper.schedule_network(nn::workload_by_abbr("Sqz"));
-  }
-
-  [[nodiscard]] FaultRunReport run(const InjectOptions& options,
-                                   std::uint64_t policy_seed = 1) const {
-    auto policy =
-        wear::make_policy(wear::PolicyKind::kRwlRo, accel.array_width,
-                          accel.array_height, policy_seed);
-    return run_fault_injection(accel, ns, *policy, options);
-  }
-};
+DegradeReport run_inject(const DegradeOptions& options) {
+  return run_degraded_lifetime(arch::rota_like(),
+                               nn::workload_by_abbr("Sqz"), options);
+}
 
 TEST(FiInject, CoordinateFaultRedirectsWorkToASpare) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 2);
+  DegradeOptions options = small_inject(64, 2);
   options.faults.push_back(parse_hardware_fault("pe=3,4@10").value());
-  const FaultRunReport report = fx.run(options);
+  const DegradeReport report = run_inject(options);
+  const SparePoolSummary pool =
+      spare_pool_summary(report, options.spares, options.beta);
 
   EXPECT_EQ(report.iterations_run, 64);
   EXPECT_EQ(report.faults_injected, 1);
@@ -439,31 +427,27 @@ TEST(FiInject, CoordinateFaultRedirectsWorkToASpare) {
   EXPECT_EQ(report.spare_stats.spares_in_service, 1);
   EXPECT_GT(report.redirected_units, 0);
   EXPECT_EQ(report.lost_units, 0);
-  EXPECT_GT(report.redirect_fraction, 0.0);
-  EXPECT_GT(report.baseline_mttf, 0.0);
-  EXPECT_GT(report.degraded_mttf, 0.0);
+  EXPECT_GT(pool.redirect_fraction, 0.0);
+  EXPECT_GT(pool.baseline_mttf, 0.0);
+  EXPECT_GT(pool.degraded_mttf, 0.0);
   // One spare spent out of two: the degraded array cannot beat the
   // full-pool one.
-  EXPECT_LE(report.mttf_ratio, 1.0);
-  ASSERT_EQ(report.spare_usage.size(), 2u);
-  EXPECT_GT(report.spare_usage[0], 0);
+  EXPECT_LE(pool.mttf_ratio, 1.0);
 }
 
 TEST(FiInject, ExhaustedPoolLosesWork) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 0);
+  DegradeOptions options = small_inject(64, 0);
   options.faults.push_back(parse_hardware_fault("pe=3,4@10").value());
-  const FaultRunReport report = fx.run(options);
+  const DegradeReport report = run_inject(options);
   EXPECT_EQ(report.spare_stats.unmapped, 1);
   EXPECT_GT(report.lost_units, 0);
   EXPECT_EQ(report.redirected_units, 0);
 }
 
 TEST(FiInject, TransientFaultRestoresThePrimary) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 1);
+  DegradeOptions options = small_inject(64, 1);
   options.faults.push_back(parse_hardware_fault("pe=2,2@10+5").value());
-  const FaultRunReport report = fx.run(options);
+  const DegradeReport report = run_inject(options);
   EXPECT_EQ(report.transient_restores, 1);
   EXPECT_EQ(report.spare_stats.restores, 1);
   // After the restore the spare returns to the pool.
@@ -472,20 +456,19 @@ TEST(FiInject, TransientFaultRestoresThePrimary) {
 }
 
 TEST(FiInject, RankAndWeibullFaultsAreDeterministic) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(96, 4);
+  DegradeOptions options = small_inject(96, 4);
   options.faults.push_back(parse_hardware_fault("rank=0@20").value());
   options.faults.push_back(parse_hardware_fault("weibull=3").value());
 
-  const FaultRunReport a = fx.run(options);
-  const FaultRunReport b = fx.run(options);
+  const DegradeReport a = run_inject(options);
+  const DegradeReport b = run_inject(options);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.redirected_units, b.redirected_units);
   EXPECT_EQ(a.faults_injected, 4);  // 1 rank + 3 weibull
 
-  InjectOptions other = options;
+  DegradeOptions other = options;
   other.seed = 12345;
-  const FaultRunReport c = fx.run(other);
+  const DegradeReport c = run_inject(other);
   // A different seed moves the weibull strikes (rank stays declarative).
   EXPECT_EQ(c.faults_injected, 4);
 }

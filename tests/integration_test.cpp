@@ -97,8 +97,11 @@ TEST(Integration, RandomStartLevelsWorseThanRwlRo) {
   const double rnd = res.improvement_over_baseline(PolicyKind::kRandomStart);
   EXPECT_GT(rnd, 1.0);       // random still beats the fixed corner
   EXPECT_GE(ro, rnd - 1e-9); // but not the rotational lattice
-  EXPECT_LE(res.run(PolicyKind::kRwlRo).stats.max_diff,
-            res.run(PolicyKind::kRandomStart).stats.max_diff);
+  const PolicyRun* ro_run = res.find_run(PolicyKind::kRwlRo);
+  const PolicyRun* rnd_run = res.find_run(PolicyKind::kRandomStart);
+  ASSERT_NE(ro_run, nullptr);
+  ASSERT_NE(rnd_run, nullptr);
+  EXPECT_LE(ro_run->stats.max_diff, rnd_run->stats.max_diff);
 }
 
 TEST(Integration, DiagonalStrideLeavesLatticeGapsOnAlignedGeometry) {

@@ -129,6 +129,9 @@ TEST(SvcJson, RejectsGarbageWithoutThrowing) {
   EXPECT_FALSE(JsonValue::parse("{\"a\":1} trailing").ok());
   EXPECT_FALSE(JsonValue::parse("{'a':1}").ok());
   EXPECT_FALSE(JsonValue::parse("{\"a\":01}").ok());
+  EXPECT_FALSE(JsonValue::parse("[1,]").ok());
+  EXPECT_FALSE(JsonValue::parse("{\"a\":}").ok());
+  EXPECT_FALSE(JsonValue::parse("nan").ok());
   // Nesting past max_depth is refused, not stack-overflowed.
   std::string deep(100, '[');
   deep += std::string(100, ']');
