@@ -268,6 +268,32 @@ void BM_ObsDisabledEventLog(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsDisabledEventLog);
 
+// Enabled-cost gate: a 1000-iteration wear run (AlexNet, 14x12, RWL+RO —
+// one serve `wear` request's simulation) with the metrics registry off
+// (Arg 0) and on (Arg 1). The simulator publishes its layer counters
+// once per call, so the two rows should agree within noise; a registry
+// call creeping back onto the per-layer path shows up as Arg 1 pulling
+// away (EXPERIMENTS.md records the ratio).
+void BM_WearRunTelemetry(benchmark::State& state) {
+  const bool metrics_on = state.range(0) != 0;
+  sched::Mapper mapper(arch::rota_like(), sched::ObjectiveSpec{});
+  const auto ns = mapper.schedule_network(nn::workload_by_abbr("AN"));
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(metrics_on);
+  for (auto _ : state) {
+    wear::WearSimulator sim(arch::rota_like());
+    auto policy = wear::make_policy(wear::PolicyKind::kRwlRo, 14, 12);
+    sim.run_iterations(ns, *policy, 1000);
+    benchmark::DoNotOptimize(sim.tracker());
+  }
+  reg.set_enabled(false);
+  reg.reset();
+  state.SetLabel(metrics_on ? "metrics-on" : "metrics-off");
+}
+BENCHMARK(BM_WearRunTelemetry)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 /// Console reporter that also captures per-iteration timings so main can
 /// write the machine-readable BENCH_perf.json after the run.
 class CapturingReporter : public benchmark::ConsoleReporter {

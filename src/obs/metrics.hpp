@@ -20,9 +20,12 @@
 /// (no allocation) and every slow path lives behind the enabled() check.
 ///
 /// Thread safety: enabling/recording/reading may happen concurrently from
-/// any thread; the registry serializes mutation with a mutex (the
-/// instrumented sites are per-layer / per-batch, not per-tile, so lock
-/// cost is irrelevant — the disabled fast path is what matters).
+/// any thread; the registry serializes mutation with one mutex and looks
+/// each name up in a map, so an enabled call costs a lock and a lookup.
+/// The rule for instrumented code: call the registry at most once per
+/// public call, request or batch — never per layer per iteration. Hot
+/// loops tally in plain locals and publish when the call returns (see
+/// wear::WearSimulator).
 
 namespace rota::obs {
 

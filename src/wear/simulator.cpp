@@ -9,6 +9,40 @@
 
 namespace rota::wear {
 
+/// The per-layer counters of one public run call, kept in plain integers
+/// and published to the global registry when the call returns (normally
+/// or by exception): one add per counter per call, so the registry's lock
+/// and name lookup stay off the per-layer-per-iteration path while every
+/// total stays what per-layer updates would give.
+struct WearSimulator::Tally {
+  std::int64_t layers = 0;
+  std::int64_t tiles_fast_forwarded = 0;
+  std::int64_t tiles_per_tile = 0;
+  std::int64_t fast_forward_hits = 0;
+  std::int64_t fast_forward_misses = 0;
+  std::int64_t counter_updates = 0;
+
+  Tally() = default;
+  Tally(const Tally&) = delete;
+  Tally& operator=(const Tally&) = delete;
+  ~Tally() {
+    auto& reg = obs::MetricsRegistry::global();
+    if (layers == 0 || !reg.enabled()) return;
+    reg.add("wear.layers", layers);
+    reg.add("wear.tiles_fast_forwarded", tiles_fast_forwarded);
+    reg.add("wear.tiles_per_tile", tiles_per_tile);
+    // Which path handled each layer: exact periodicity fast path vs. the
+    // per-tile reference fallback (partial bulk consumption counts both).
+    if (fast_forward_hits > 0) {
+      reg.add("wear.fast_forward_hits", fast_forward_hits);
+    }
+    if (fast_forward_misses > 0) {
+      reg.add("wear.fast_forward_misses", fast_forward_misses);
+    }
+    reg.add("wear.counter_updates", counter_updates);
+  }
+};
+
 WearSimulator::WearSimulator(arch::AcceleratorConfig cfg,
                              SimulatorOptions options)
     : cfg_(std::move(cfg)),
@@ -20,6 +54,12 @@ WearSimulator::WearSimulator(arch::AcceleratorConfig cfg,
 
 void WearSimulator::run_layer(const sched::LayerSchedule& layer,
                               Policy& policy) {
+  Tally tally;
+  step_layer(layer, policy, tally);
+}
+
+void WearSimulator::step_layer(const sched::LayerSchedule& layer,
+                               Policy& policy, Tally& tally) {
   const sched::UtilSpace& space = layer.space;
   ROTA_REQUIRE(space.x >= 1 && space.x <= cfg_.array_width &&
                    space.y >= 1 && space.y <= cfg_.array_height,
@@ -63,22 +103,23 @@ void WearSimulator::run_layer(const sched::LayerSchedule& layer,
     tracker_.add_space(at.u, at.v, space.x, space.y, weight, allow_wrap_);
   }
 
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.add("wear.layers");
-    reg.add("wear.tiles_fast_forwarded", fast_forwarded);
-    reg.add("wear.tiles_per_tile", per_tile);
-    // Which path handled the layer: exact periodicity fast path vs. the
-    // per-tile reference fallback (partial bulk consumption counts both).
-    if (fast_forwarded > 0) reg.add("wear.fast_forward_hits");
-    if (per_tile > 0) reg.add("wear.fast_forward_misses");
-    reg.add("wear.counter_updates", layer.tiles * space.x * space.y);
-  }
+  ++tally.layers;
+  tally.tiles_fast_forwarded += fast_forwarded;
+  tally.tiles_per_tile += per_tile;
+  if (fast_forwarded > 0) ++tally.fast_forward_hits;
+  if (per_tile > 0) ++tally.fast_forward_misses;
+  tally.counter_updates += layer.tiles * space.x * space.y;
+}
+
+void WearSimulator::step_iteration(const sched::NetworkSchedule& schedule,
+                                   Policy& policy, Tally& tally) {
+  for (const auto& layer : schedule.layers) step_layer(layer, policy, tally);
 }
 
 void WearSimulator::run_iteration(const sched::NetworkSchedule& schedule,
                                   Policy& policy) {
-  for (const auto& layer : schedule.layers) run_layer(layer, policy);
+  Tally tally;
+  step_iteration(schedule, policy, tally);
 }
 
 void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
@@ -93,8 +134,9 @@ void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
   obs::ProgressReporter progress("wear " + policy.name() +
                                      (label.empty() ? "" : " " + label),
                                  iterations);
+  Tally tally;
   for (std::int64_t it = 1; it <= iterations; ++it) {
-    run_iteration(schedule, policy);
+    step_iteration(schedule, policy, tally);
     progress.tick();
     if (sampler) sampler(it, tracker_);
   }
@@ -109,9 +151,10 @@ std::int64_t WearSimulator::run_iterations_while(
                "run_iterations_while needs a stopping sampler; use "
                "run_iterations for unconditional runs");
   const obs::TraceSpan span(policy.name(), "wear.run_while");
+  Tally tally;
   std::int64_t done = 0;
   for (std::int64_t it = 1; it <= iterations; ++it) {
-    run_iteration(schedule, policy);
+    step_iteration(schedule, policy, tally);
     done = it;
     if (!sampler(it, tracker_)) break;
   }

@@ -38,6 +38,14 @@ struct SimulatorOptions {
 };
 
 /// Drives policies over schedules and owns the usage counters.
+///
+/// Telemetry: each public run call tallies its per-layer counters
+/// (`wear.layers`, `wear.tiles_fast_forwarded`, `wear.tiles_per_tile`,
+/// `wear.fast_forward_hits`, `wear.fast_forward_misses`,
+/// `wear.counter_updates`) in plain integers and publishes them to the
+/// global MetricsRegistry once, when the call returns — the totals equal
+/// one update per layer, but the registry is never touched per layer per
+/// iteration.
 class WearSimulator {
  public:
   explicit WearSimulator(arch::AcceleratorConfig cfg,
@@ -83,6 +91,13 @@ class WearSimulator {
                                     const StoppingSampler& sampler);
 
  private:
+  struct Tally;
+
+  void step_layer(const sched::LayerSchedule& layer, Policy& policy,
+                  Tally& tally);
+  void step_iteration(const sched::NetworkSchedule& schedule, Policy& policy,
+                      Tally& tally);
+
   arch::AcceleratorConfig cfg_;
   SimulatorOptions options_;
   UsageTracker tracker_;

@@ -5,6 +5,10 @@
 #include <sstream>
 
 #include "arch/config.hpp"
+#include "core/experiment.hpp"
+#include "nn/workloads.hpp"
+#include "obs/metrics.hpp"
+#include "sched/mapper.hpp"
 #include "sched/schedule.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -991,6 +995,140 @@ TEST(Simulator, OversizedSpaceRejected) {
   ns.config = arch::rota_like();
   ns.layers.push_back(layer_of(15, 3, 4));
   EXPECT_THROW(sim.run_layer(ns.layers[0], *policy), precondition_error);
+}
+
+// ------------------------------------------------------ telemetry totals
+
+/// Enables the global metrics registry for one test and restores the
+/// disabled default afterwards.
+struct RegistryOn {
+  RegistryOn() {
+    obs::MetricsRegistry::global().reset();
+    obs::MetricsRegistry::global().set_enabled(true);
+  }
+  ~RegistryOn() {
+    obs::MetricsRegistry::global().reset();
+    obs::MetricsRegistry::global().set_enabled(false);
+  }
+};
+
+/// AlexNet on the 14x12 RoTA array under the energy objective: 8 layers,
+/// 2310 tiles and 223240 PE-counter updates (sum of tiles * x * y) per
+/// inference pass.
+constexpr std::int64_t kAnLayers = 8;
+constexpr std::int64_t kAnTiles = 2310;
+constexpr std::int64_t kAnCounterUpdates = 223240;
+
+sched::NetworkSchedule alexnet_schedule() {
+  sched::Mapper mapper(arch::rota_like(), sched::ObjectiveSpec{});
+  return mapper.schedule_network(nn::workload_by_abbr("AN"));
+}
+
+/// The six per-layer counters after `layers` layers processed, `tiles`
+/// tiles and `updates` counter updates. Every one of them is checked, so
+/// a counter that is tallied but never published fails here.
+void expect_layer_counters(std::int64_t layers, std::int64_t tiles,
+                           std::int64_t updates) {
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  EXPECT_EQ(reg.counter("wear.layers"), layers);
+  EXPECT_EQ(reg.counter("wear.counter_updates"), updates);
+  const std::int64_t fast = reg.counter("wear.tiles_fast_forwarded");
+  const std::int64_t per_tile = reg.counter("wear.tiles_per_tile");
+  EXPECT_EQ(fast + per_tile, tiles);
+  const std::int64_t hits = reg.counter("wear.fast_forward_hits");
+  const std::int64_t misses = reg.counter("wear.fast_forward_misses");
+  EXPECT_GE(hits + misses, layers);
+  // A layer counts a hit when the fast path took any of its tiles and a
+  // miss when any were left to the per-tile path.
+  EXPECT_EQ(hits > 0, fast > 0);
+  EXPECT_EQ(misses > 0, per_tile > 0);
+  EXPECT_LE(hits, layers);
+  EXPECT_LE(misses, layers);
+}
+
+TEST(SimulatorTelemetry, AlexNetScheduleHasTheCountedShape) {
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  ASSERT_EQ(static_cast<std::int64_t>(ns.layers.size()), kAnLayers);
+  std::int64_t tiles = 0;
+  std::int64_t updates = 0;
+  for (const auto& layer : ns.layers) {
+    tiles += layer.tiles;
+    updates += layer.tiles * layer.space.x * layer.space.y;
+  }
+  EXPECT_EQ(tiles, kAnTiles);
+  EXPECT_EQ(updates, kAnCounterUpdates);
+}
+
+TEST(SimulatorTelemetry, RunLayerPublishesItsLayer) {
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  const RegistryOn on;
+  WearSimulator sim(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRwlRo, 14, 12);
+  sim.run_layer(ns.layers[0], *policy);
+  const sched::LayerSchedule& first = ns.layers[0];
+  expect_layer_counters(1, first.tiles,
+                        first.tiles * first.space.x * first.space.y);
+}
+
+TEST(SimulatorTelemetry, RunIterationPublishesOnePass) {
+  // Experiment::run_transient calls run_iteration directly for its
+  // one-pass baseline.
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  const RegistryOn on;
+  WearSimulator sim(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRwlRo, 14, 12);
+  sim.run_iteration(ns, *policy);
+  expect_layer_counters(kAnLayers, kAnTiles, kAnCounterUpdates);
+  EXPECT_EQ(obs::MetricsRegistry::global().counter("wear.layers"), 8);
+}
+
+TEST(SimulatorTelemetry, RunIterationsPublishesEveryPass) {
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  const RegistryOn on;
+  WearSimulator sim(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRwlRo, 14, 12);
+  sim.run_iterations(ns, *policy, 1000);
+  expect_layer_counters(1000 * kAnLayers, 1000 * kAnTiles,
+                        1000 * kAnCounterUpdates);
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  EXPECT_EQ(reg.counter("wear.layers"), 8000);
+  EXPECT_EQ(reg.counter("wear.counter_updates"), 223240000);
+  EXPECT_EQ(reg.counter("wear.iterations"), 1000);
+}
+
+TEST(SimulatorTelemetry, RunIterationsWhileStoppedEarlyPublishesDonePasses) {
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  const RegistryOn on;
+  WearSimulator sim(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRwlRo, 14, 12);
+  const std::int64_t done = sim.run_iterations_while(
+      ns, *policy, 50,
+      [](std::int64_t it, const UsageTracker&) { return it < 3; });
+  ASSERT_EQ(done, 3);
+  expect_layer_counters(3 * kAnLayers, 3 * kAnTiles, 3 * kAnCounterUpdates);
+  EXPECT_EQ(obs::MetricsRegistry::global().counter("wear.iterations"), 3);
+}
+
+TEST(SimulatorTelemetry, ExperimentTransientPublishesBaselineAndRun) {
+  // run_transient: one run_iteration for the Baseline reference, then
+  // run_iterations for the policy.
+  const RegistryOn on;
+  Experiment exp(ExperimentConfig{arch::rota_like(), 4});
+  const auto samples =
+      exp.run_transient(nn::workload_by_abbr("AN"), PolicyKind::kRwlRo, 4);
+  ASSERT_EQ(samples.size(), 4u);
+  expect_layer_counters(5 * kAnLayers, 5 * kAnTiles, 5 * kAnCounterUpdates);
+}
+
+TEST(SimulatorTelemetry, DisabledRegistryRecordsNoWearCounters) {
+  const sched::NetworkSchedule ns = alexnet_schedule();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  ASSERT_FALSE(reg.enabled());
+  WearSimulator sim(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRwlRo, 14, 12);
+  sim.run_iterations(ns, *policy, 10);
+  EXPECT_TRUE(reg.names().empty());
 }
 
 }  // namespace
