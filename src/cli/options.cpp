@@ -417,7 +417,7 @@ std::string usage() {
       "                            (one request object per line; ops ping,\n"
       "                            schedule, wear, lifetime, stats,\n"
       "                            shutdown; see README)\n"
-      "    --threads N             concurrent requests per batch (default "
+      "    --threads N             request lanes, one request each (default "
       "1)\n"
       "    --cache-dir DIR         on-disk schedule-cache tier (default "
       "off)\n"

@@ -3,13 +3,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -21,6 +26,7 @@
 #include "svc/engine.hpp"
 #include "svc/jsonv.hpp"
 #include "svc/request.hpp"
+#include "util/io.hpp"
 #include "util/result.hpp"
 
 namespace rota::svc {
@@ -506,45 +512,132 @@ Request quick_request(std::string id, RequestOp op) {
   return req;
 }
 
-TEST(EngineTest, RepeatedBatchesAreCachedAndBitIdentical) {
-  EngineOptions options;
-  options.threads = 4;
-  Engine engine(options);
+/// A cold YOLOv3 search on the 14x12 array: long, and it writes schedule
+/// cache entries as it goes.
+Request heavy_request(std::string id) {
+  Request req = quick_request(std::move(id), RequestOp::kSchedule);
+  req.workload = "YL";
+  req.array_width = 14;
+  req.array_height = 12;
+  return req;
+}
 
-  const auto run_batch = [&] {
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 3; ++i) {
-      futures.push_back(engine.submit(
-          quick_request("b" + std::to_string(i), RequestOp::kLifetime)));
-    }
-    std::vector<Response> replies;
-    for (auto& f : futures) replies.push_back(f.get());
-    return replies;
+/// Holds the first file write made through util's checked I/O (a
+/// schedule-cache disk store) on a latch until release(), so a test can
+/// keep one engine lane provably busy mid-request instead of betting on
+/// how long a search takes. Declare it after the Engine: it is destroyed
+/// first, which opens the latch before the engine joins its lanes.
+class DiskWriteGate {
+ public:
+  DiskWriteGate() : state_(std::make_shared<State>()) {
+    held_ = state_->entered.get_future();
+    util::set_io_fault_hook(
+        [state = state_](util::IoOp op, const std::string&, std::string*) {
+          if (op != util::IoOp::kWrite || state->taken.exchange(true)) return;
+          state->entered.set_value();
+          state->opened.wait();
+        });
+  }
+  ~DiskWriteGate() {
+    release();
+    util::set_io_fault_hook({});
+  }
+  DiskWriteGate(const DiskWriteGate&) = delete;
+  DiskWriteGate& operator=(const DiskWriteGate&) = delete;
+
+  /// True once a write is held at the gate (false after 60 s without).
+  [[nodiscard]] bool holding() {
+    return held_.wait_for(std::chrono::seconds(60)) ==
+           std::future_status::ready;
+  }
+  void release() {
+    if (!state_->released.exchange(true)) state_->open.set_value();
+  }
+
+ private:
+  struct State {
+    std::atomic<bool> taken{false};
+    std::atomic<bool> released{false};
+    std::promise<void> entered;
+    std::promise<void> open;
+    std::shared_future<void> opened = open.get_future().share();
   };
+  std::shared_ptr<State> state_;
+  std::future<void> held_;
+};
 
-  const auto pass1 = run_batch();
-  const auto warm = engine.cache_stats();
-  EXPECT_GT(warm.misses, 0);
-  const auto pass2 = run_batch();
-  const auto after = engine.cache_stats();
-  EXPECT_EQ(after.misses, warm.misses) << "second pass must not re-search";
-  EXPECT_GT(after.hits_memory, warm.hits_memory);
+TEST(EngineTest, RepeatedBatchesAreCachedAndBitIdentical) {
+  std::vector<std::string> payload_per_lanes;
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes = " + std::to_string(lanes));
+    EngineOptions options;
+    options.threads = lanes;
+    Engine engine(options);
 
-  ASSERT_EQ(pass1.size(), 3u);
-  for (const Response& r : pass1) {
-    EXPECT_TRUE(r.ok) << r.error.message;
-    // Identical requests (bar id) are bit-identical across lanes...
-    EXPECT_EQ(r.payload_json, pass1.front().payload_json);
+    const auto run_batch = [&] {
+      std::vector<std::future<Response>> futures;
+      for (int i = 0; i < 3; ++i) {
+        futures.push_back(engine.submit(
+            quick_request("b" + std::to_string(i), RequestOp::kLifetime)));
+      }
+      std::vector<Response> replies;
+      for (auto& f : futures) replies.push_back(f.get());
+      return replies;
+    };
+
+    const auto pass1 = run_batch();
+    const auto warm = engine.cache_stats();
+    EXPECT_GT(warm.misses, 0);
+    const auto pass2 = run_batch();
+    const auto after = engine.cache_stats();
+    EXPECT_EQ(after.misses, warm.misses) << "second pass must not re-search";
+    EXPECT_GT(after.hits_memory, warm.hits_memory);
+
+    ASSERT_EQ(pass1.size(), 3u);
+    for (const Response& r : pass1) {
+      EXPECT_TRUE(r.ok) << r.error.message;
+      // Identical requests (bar id) are bit-identical across lanes...
+      EXPECT_EQ(r.payload_json, pass1.front().payload_json);
+    }
+    // ...and across cold/warm passes.
+    for (std::size_t i = 0; i < pass1.size(); ++i) {
+      EXPECT_EQ(pass1[i].payload_json, pass2[i].payload_json);
+      // Built with append rather than "b" + to_string(i): GCC 12 at -O3
+      // raises a spurious -Wrestrict on operator+(const char*, string&&).
+      std::string expected_id = "b";
+      expected_id += std::to_string(i);
+      EXPECT_EQ(pass2[i].id, expected_id);
+    }
+    payload_per_lanes.push_back(pass1.front().payload_json);
   }
-  // ...and across cold/warm passes.
-  for (std::size_t i = 0; i < pass1.size(); ++i) {
-    EXPECT_EQ(pass1[i].payload_json, pass2[i].payload_json);
-    // Built with append rather than "b" + to_string(i): GCC 12 at -O3
-    // raises a spurious -Wrestrict on operator+(const char*, string&&).
-    std::string expected_id = "b";
-    expected_id += std::to_string(i);
-    EXPECT_EQ(pass2[i].id, expected_id);
-  }
+  // ...and across lane counts.
+  ASSERT_EQ(payload_per_lanes.size(), 2u);
+  EXPECT_EQ(payload_per_lanes[0], payload_per_lanes[1]);
+}
+
+TEST(EngineTest, ShortRequestOvertakesARunningHeavyOne) {
+  TempDir dir;
+  EngineOptions options;
+  options.threads = 2;
+  options.cache.disk_dir = dir.path.string();
+  Engine engine(options);
+  DiskWriteGate gate;
+  auto heavy = engine.submit(heavy_request("h"));
+  ASSERT_TRUE(gate.holding()) << "the cold search never stored an entry";
+  // One lane is held inside the YOLOv3 search; the other lane is free and
+  // must pull the ping now, not after the search ends.
+  auto ping = engine.submit(quick_request("p", RequestOp::kPing));
+  ASSERT_EQ(ping.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready)
+      << "the ping waited for the running search";
+  EXPECT_NE(heavy.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  gate.release();
+  const Response pong = ping.get();
+  const Response searched = heavy.get();
+  ASSERT_TRUE(pong.ok);
+  ASSERT_TRUE(searched.ok) << searched.error.message;
+  EXPECT_LT(pong.done_at, searched.done_at);
 }
 
 TEST(EngineTest, EngineMatchesSerialExperimentNumbers) {
@@ -603,19 +696,22 @@ TEST(EngineTest, CancelledRequestsAnswerWithoutExecuting) {
 }
 
 TEST(EngineTest, QueuedDeadlineExpiryIsStructured) {
+  TempDir dir;
   EngineOptions options;
-  options.threads = 1;  // serial lanes: the heavy job blocks the queue
+  options.threads = 1;  // one lane: the held heavy job blocks the queue
+  options.cache.disk_dir = dir.path.string();
   Engine engine(options);
-  // A cold YOLOv3 schedule takes far longer than 1 ms, so the second
-  // request always expires while queued behind it.
-  Request heavy = quick_request("h", RequestOp::kSchedule);
-  heavy.workload = "YL";
-  heavy.array_width = 14;
-  heavy.array_height = 12;
-  auto heavy_future = engine.submit(std::move(heavy));
+  DiskWriteGate gate;
+  auto heavy_future = engine.submit(heavy_request("h"));
+  ASSERT_TRUE(gate.holding()) << "the cold search never stored an entry";
+  // The only lane is held inside the heavy job, so this request stays
+  // queued until the gate opens, well past its 1 ms deadline.
   Request doomed = quick_request("d", RequestOp::kLifetime);
   doomed.deadline_ms = 1;
-  const Response late = engine.submit(std::move(doomed)).get();
+  auto late_future = engine.submit(std::move(doomed));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.release();
+  const Response late = late_future.get();
   EXPECT_FALSE(late.ok);
   EXPECT_EQ(late.error.code, ErrorCode::kDeadlineExceeded);
   EXPECT_TRUE(heavy_future.get().ok);
@@ -631,6 +727,31 @@ TEST(EngineTest, ShutdownDrainsThenRefuses) {
   EXPECT_FALSE(refused.ok);
   EXPECT_EQ(refused.error.code, ErrorCode::kUnavailable);
   engine.shutdown();  // idempotent
+}
+
+TEST(EngineTest, ShutdownWithFourLanesAnswersAFullQueue) {
+  EngineOptions options;
+  options.threads = 4;
+  Engine engine(options);
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 32; ++i) {
+    Request req = quick_request(
+        std::to_string(i),
+        i % 4 == 3 ? RequestOp::kPing : RequestOp::kLifetime);
+    req.iterations = 200;
+    futures.push_back(engine.submit(std::move(req)));
+  }
+  engine.shutdown();  // drains: every accepted request is answered
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "shutdown returned before answering an accepted request";
+    const Response resp = f.get();
+    EXPECT_TRUE(resp.ok) << resp.id << ": " << resp.error.message;
+  }
+  EXPECT_EQ(engine.submit(quick_request("late", RequestOp::kPing))
+                .get()
+                .error.code,
+            ErrorCode::kUnavailable);
 }
 
 // ------------------------------------------------------------ serve loop
@@ -809,6 +930,71 @@ TEST(ServeTest, RequestPhasesLandInLatencyHistograms) {
   ASSERT_NE(depth, ex.gauges.end());
   EXPECT_DOUBLE_EQ(depth->second, 0.0);
   ASSERT_NE(ex.gauges.find("svc.inflight"), ex.gauges.end());
+}
+
+/// TSan target: four lanes, two client threads submitting mixed ops
+/// (stats snapshots among them, reading the registry while the lanes
+/// write it) and a shutdown landing mid-stream. Every future resolves,
+/// every seq is unique, and each compute op answers with one payload.
+/// ROTA_PAR_HAMMER (set by the CI tsan job) scales the stream up.
+TEST(EngineTest, LaneHammerResolvesEveryFutureWithUniqueSeq) {
+  MetricsGuard metrics;
+  const int per_client = std::getenv("ROTA_PAR_HAMMER") != nullptr ? 400 : 40;
+  EngineOptions options;
+  options.threads = 4;
+  Engine engine(options);
+  const std::vector<RequestOp> mix = {RequestOp::kPing, RequestOp::kStats,
+                                      RequestOp::kSchedule, RequestOp::kWear,
+                                      RequestOp::kLifetime};
+  using Pending = std::pair<RequestOp, std::future<Response>>;
+  std::vector<Pending> pending[2];
+  std::atomic<int> submitted{0};
+  const auto client = [&](int c) {
+    for (int i = 0; i < per_client; ++i) {
+      const RequestOp op = mix[static_cast<std::size_t>(i + c) % mix.size()];
+      Request req = quick_request(std::to_string(i), op);
+      req.iterations = 5;
+      pending[c].emplace_back(op, engine.submit(std::move(req)));
+      submitted.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread first(client, 0);
+  std::thread second(client, 1);
+  std::thread stopper([&] {
+    while (submitted.load(std::memory_order_relaxed) < per_client) {
+      std::this_thread::yield();
+    }
+    engine.shutdown();
+  });
+  first.join();
+  second.join();
+  stopper.join();
+
+  std::set<std::uint64_t> seqs;
+  std::map<RequestOp, std::string> payload_of;
+  int answered = 0;
+  for (auto& list : pending) {
+    for (auto& [op, future] : list) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+                std::future_status::ready);
+      const Response resp = future.get();
+      EXPECT_TRUE(seqs.insert(resp.seq).second) << "seq " << resp.seq;
+      if (!resp.ok) {
+        EXPECT_EQ(resp.error.code, ErrorCode::kUnavailable)
+            << resp.error.message;
+        continue;
+      }
+      ++answered;
+      if (op == RequestOp::kStats) continue;  // live snapshots differ
+      const auto [it, fresh] = payload_of.emplace(op, resp.payload_json);
+      if (!fresh) {
+        EXPECT_EQ(it->second, resp.payload_json);
+      }
+    }
+  }
+  EXPECT_EQ(seqs.size(), static_cast<std::size_t>(2 * per_client));
+  EXPECT_EQ(seqs.count(0), 0u);
+  EXPECT_GT(answered, 0);
 }
 
 /// Every file in tests/corpus/jsonv is a hand-written malformed (or
