@@ -176,7 +176,9 @@ TEST(Metrics, ConcurrentHammerIsDataRaceFree) {
     }
   });
   threads.emplace_back([&reg] {
-    for (int i = 0; i < 500; ++i) reg.set_enabled(i % 2 == 0);
+    // Ends enabled: a writer that starts only after the toggler is done
+    // must still record, or a late-scheduled writer set counts nothing.
+    for (int i = 0; i < 500; ++i) reg.set_enabled(i % 2 == 1);
   });
   for (auto& t : threads) t.join();
   reg.set_enabled(true);
